@@ -360,5 +360,16 @@ func fitPrefixNode(node *Node, train, test *dataset.Dataset) (trainOut, testOut 
 		}
 		testOut = next
 	}
+	// A pass-through node returns its input, which other units may be
+	// reading concurrently; the cache hangs a mirror off what it stores,
+	// so it stores a shallow copy instead.
+	if trainOut == train {
+		cp := *train
+		trainOut = &cp
+	}
+	if testOut == test {
+		cp := *test
+		testOut = &cp
+	}
 	return trainOut, testOut, nil
 }

@@ -178,11 +178,17 @@ func Apply(base []byte, d *Delta) ([]byte, error) {
 	if int64(len(base)) != d.BaseLen {
 		return nil, fmt.Errorf("%w: base length %d, delta expects %d", ErrCorrupt, len(base), d.BaseLen)
 	}
-	out := make([]byte, 0, d.TargetLen)
+	// TargetLen comes off the wire: preallocate no more than the base and
+	// the literals can produce.
+	limit := int64(len(base))
+	for _, op := range d.Ops {
+		limit += int64(len(op.Data))
+	}
+	out := make([]byte, 0, max(0, min(d.TargetLen, limit)))
 	for i, op := range d.Ops {
 		if op.IsCopy() {
-			if op.Off < 0 || op.Len < 0 || op.Off+op.Len > int64(len(base)) {
-				return nil, fmt.Errorf("%w: op %d copies [%d,%d) beyond base %d", ErrCorrupt, i, op.Off, op.Off+op.Len, len(base))
+			if op.Off < 0 || op.Len < 0 || op.Off > int64(len(base)) || op.Len > int64(len(base))-op.Off {
+				return nil, fmt.Errorf("%w: op %d copies %d bytes at %d beyond base %d", ErrCorrupt, i, op.Len, op.Off, len(base))
 			}
 			out = append(out, base[op.Off:op.Off+op.Len]...)
 		} else {
@@ -273,7 +279,7 @@ func Unmarshal(buf []byte) (*Delta, error) {
 			if err != nil {
 				return nil, err
 			}
-			if n+int(length) > len(buf) {
+			if length > uint64(len(buf)-n) {
 				return nil, fmt.Errorf("%w: truncated literal", ErrCorrupt)
 			}
 			d.Ops = append(d.Ops, Op{Data: append([]byte(nil), buf[n:n+int(length)]...)})

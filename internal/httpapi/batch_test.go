@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -148,6 +149,43 @@ func TestPublishQueueFlushPaths(t *testing.T) {
 	}
 	if repo.Len() != 5 {
 		t.Fatalf("repo has %d records after Close, want 5", repo.Len())
+	}
+}
+
+// TestPublishQueueFlushWaitsForInFlightBatch pins the core.Flusher
+// contract against a slow server: once the size threshold has kicked an
+// async flush, Flush must not return until that batch has been stored,
+// even though it finds nothing pending itself.
+func TestPublishQueueFlushWaitsForInFlightBatch(t *testing.T) {
+	repo := darr.NewRepo(nil, time.Minute)
+	srv := NewServer(repo, nil)
+	inFlight := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/darr/batch/records" {
+			select {
+			case inFlight <- struct{}{}:
+			default:
+			}
+			time.Sleep(200 * time.Millisecond)
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL, "test-client")
+	c.EnablePublishQueue(2, time.Hour)
+	defer c.Close()
+	ctx := context.Background()
+	for i, k := range []string{"fp|a|e", "fp|b|e"} {
+		if err := c.Publish(ctx, k, float64(i), "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-inFlight
+	if err := c.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := repo.Len(); n != 2 {
+		t.Fatalf("Flush returned with %d records stored, want the in-flight batch of 2", n)
 	}
 }
 

@@ -37,6 +37,11 @@ type publishQueue struct {
 	mu      sync.Mutex
 	pending []darr.Record
 
+	// flushMu is held from take until the batch has landed, so a Flush
+	// that finds nothing pending still waits out a batch the background
+	// loop has in flight.
+	flushMu sync.Mutex
+
 	kick     chan struct{}
 	stop     chan struct{}
 	done     chan struct{}
@@ -113,6 +118,8 @@ func (q *publishQueue) take() []darr.Record {
 }
 
 func (q *publishQueue) flush(ctx context.Context) error {
+	q.flushMu.Lock()
+	defer q.flushMu.Unlock()
 	recs := q.take()
 	if len(recs) == 0 {
 		return nil

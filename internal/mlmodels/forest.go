@@ -64,7 +64,8 @@ func (f *RandomForest) Clone() core.Estimator {
 }
 
 // Fit grows NTrees trees on bootstrap resamples with sqrt(p) feature
-// subsampling.
+// subsampling. The features are presorted once for the whole forest; each
+// bootstrap derives its orders from that presort by counting.
 func (f *RandomForest) Fit(ds *dataset.Dataset) error {
 	if ds.Y == nil {
 		return fmt.Errorf("mlmodels: %s requires targets", f.Name())
@@ -76,28 +77,33 @@ func (f *RandomForest) Fit(ds *dataset.Dataset) error {
 	if n == 0 {
 		return fmt.Errorf("mlmodels: %s on empty dataset", f.Name())
 	}
+	if f.Task != TreeRegression && f.Task != TreeClassification {
+		return fmt.Errorf("mlmodels: %s unknown task %d", f.Name(), f.Task)
+	}
 	rng := rand.New(rand.NewSource(f.Seed))
 	maxFeatures := int(math.Sqrt(float64(ds.NumFeatures())))
 	if maxFeatures < 1 {
 		maxFeatures = 1
 	}
+	b := newCartBuilder(presort(ds.X), ds.Y, f.Task)
+	treeRng := rand.New(rand.NewSource(0))
 	f.trees = make([]*DecisionTree, f.NTrees)
-	idx := make([]int, n)
+	draw := make([]int, n)
 	for t := 0; t < f.NTrees; t++ {
-		for i := range idx {
-			idx[i] = rng.Intn(n)
+		for i := range draw {
+			draw[i] = rng.Intn(n)
 		}
-		boot := ds.Subset(idx)
 		tree := &DecisionTree{
 			Task:        f.Task,
 			MaxDepth:    f.MaxDepth,
 			MinLeaf:     f.MinLeaf,
 			MaxFeatures: maxFeatures,
-			rng:         rand.New(rand.NewSource(rng.Int63())),
 		}
-		if err := tree.Fit(boot); err != nil {
-			return fmt.Errorf("mlmodels: %s tree %d: %w", f.Name(), t, err)
-		}
+		// Reseeding equals rand.New(rand.NewSource(seed)) without the
+		// per-tree 5 KB source.
+		treeRng.Seed(rng.Int63())
+		b.load(draw)
+		tree.nodes = b.grow(tree, treeRng)
 		f.trees[t] = tree
 	}
 	return nil

@@ -88,19 +88,20 @@ func (g *GradientBoosting) Fit(ds *dataset.Dataset) error {
 	for i := range current {
 		current[i] = g.base
 	}
+	// The features are presorted once; each stage only changes the
+	// residual targets the builder reads at load.
 	residual := make([]float64, n)
-	work := ds.Clone()
+	b := newCartBuilder(presort(ds.X), residual, TreeRegression)
+	rows := identityRows(n)
 	g.trees = make([]*DecisionTree, 0, g.NTrees)
 	for stage := 0; stage < g.NTrees; stage++ {
 		for i := range residual {
 			residual[i] = ds.Y[i] - current[i]
 		}
-		work.Y = residual
 		tree := &DecisionTree{Task: TreeRegression, MaxDepth: g.MaxDepth, MinLeaf: g.MinLeaf}
-		if err := tree.Fit(work); err != nil {
-			return fmt.Errorf("mlmodels: %s stage %d: %w", g.Name(), stage, err)
-		}
-		preds, err := tree.Predict(work)
+		b.load(rows)
+		tree.nodes = b.grow(tree, nil)
+		preds, err := tree.Predict(ds)
 		if err != nil {
 			return fmt.Errorf("mlmodels: %s stage %d predict: %w", g.Name(), stage, err)
 		}

@@ -555,3 +555,47 @@ func TestGradientBoostingParamsAndErrors(t *testing.T) {
 		t.Fatal("clone lost params")
 	}
 }
+
+// TestDecisionTreeClassificationRefitsBitwise pins Gini determinism: on
+// binary features many candidate splits tie in exact arithmetic, so the
+// impurity's summation order decides between them and must not vary from
+// one fit to the next. A depth cap keeps the choice visible in the
+// predictions.
+func TestDecisionTreeClassificationRefitsBitwise(t *testing.T) {
+	fit := func(ds *dataset.Dataset) []float64 {
+		return fitPredict(t, func() core.Estimator {
+			tree := NewDecisionTree(TreeClassification)
+			tree.MaxDepth = 3
+			return tree
+		}, ds)
+	}
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rows := make([][]float64, 30)
+		y := make([]float64, len(rows))
+		for i := range rows {
+			rows[i] = make([]float64, 8)
+			for j := range rows[i] {
+				rows[i][j] = float64(rng.Intn(2))
+			}
+			y[i] = float64(rng.Intn(4))
+		}
+		x, err := matrix.NewFromRows(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := dataset.New(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := fit(ds)
+		for refit := 0; refit < 29; refit++ {
+			again := fit(ds)
+			for i := range first {
+				if math.Float64bits(again[i]) != math.Float64bits(first[i]) {
+					t.Fatalf("seed %d refit %d: prediction %d changed from %v to %v", seed, refit, i, first[i], again[i])
+				}
+			}
+		}
+	}
+}
