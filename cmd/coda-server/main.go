@@ -224,11 +224,14 @@ func main() {
 	}
 
 	srv := &http.Server{
-		Addr:         *addr,
-		Handler:      handler,
-		ReadTimeout:  *readTimeout,
-		WriteTimeout: *writeTimeout,
-		IdleTimeout:  *idleTimeout,
+		Addr:        *addr,
+		Handler:     handler,
+		ReadTimeout: *readTimeout,
+		// Explicit so headers stay bounded (no slow-header hold-open) even
+		// if ReadTimeout is relaxed; net/http falls back to it when unset.
+		ReadHeaderTimeout: *readTimeout,
+		WriteTimeout:      *writeTimeout,
+		IdleTimeout:       *idleTimeout,
 	}
 	logger.Info("coda-server listening",
 		"addr", *addr, "claim_ttl", *claimTTL, "retain", *retain)

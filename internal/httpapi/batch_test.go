@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -104,6 +105,42 @@ func TestBatchEndpointRejectsOversizedAndEmpty(t *testing.T) {
 	anon := NewClient(c.BaseURL, "")
 	if _, err := anon.ClaimBatch(ctx, []string{"a"}); err == nil {
 		t.Fatal("claim batch without client_id must be rejected")
+	}
+}
+
+// A batch body larger than MaxBatchKeys entries' byte budget is refused
+// with a 413 JSON error before it is decoded, even when it holds few keys;
+// a body within the budget still goes through.
+func TestBatchEndpointsCapBodyBeforeDecode(t *testing.T) {
+	srv := NewServer(darr.NewRepo(nil, time.Minute), nil)
+	srv.MaxBatchKeys = 2
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	limit := 2 * maxBatchEntryBytes
+	post := func(path, body string) (int, errorReply) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var reply errorReply
+		_ = json.NewDecoder(resp.Body).Decode(&reply)
+		return resp.StatusCode, reply
+	}
+	huge := strings.Repeat("k", limit)
+	for path, body := range map[string]string{
+		"/darr/batch/lookup":  `{"keys":["` + huge + `"]}`,
+		"/darr/batch/claims":  `{"client_id":"c","keys":["` + huge + `"]}`,
+		"/darr/batch/records": `{"records":[{"key":"` + huge + `"}]}`,
+	} {
+		status, reply := post(path, body)
+		if status != http.StatusRequestEntityTooLarge || reply.Status != status || !strings.Contains(reply.Error, "exceeds") {
+			t.Fatalf("%s: %d-byte body got status %d, reply %+v; want 413 with a JSON error", path, len(body), status, reply)
+		}
+	}
+	if status, reply := post("/darr/batch/lookup", `{"keys":["`+huge[:limit/2]+`"]}`); status != http.StatusOK {
+		t.Fatalf("body within the budget got status %d, reply %+v", status, reply)
 	}
 }
 

@@ -360,6 +360,32 @@ func (s *Server) maxBatchKeys() int {
 	return DefaultMaxBatchKeys
 }
 
+// maxBatchEntryBytes is the body budget per key or record of a batched
+// DARR request; MaxBatchKeys times it caps the whole body.
+const maxBatchEntryBytes = 64 << 10
+
+// decodeBatch decodes a batch endpoint's POST body into v, reading at most
+// maxBatchKeys()*maxBatchEntryBytes bytes so an oversized body is refused
+// (413) before it is decoded. Other methods leave v empty for checkBatch
+// to reject. It reports whether the request may proceed.
+func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	if r.Method != http.MethodPost {
+		return true
+	}
+	limit := int64(s.maxBatchKeys()) * maxBatchEntryBytes
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		s.writeError(w, r, http.StatusRequestEntityTooLarge, fmt.Errorf("batch %s body exceeds %d bytes", what, limit))
+		return false
+	case err != nil:
+		s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding batch %s: %w", what, err))
+		return false
+	}
+	return true
+}
+
 // checkBatch enforces the method and batch-size bounds shared by every
 // batch endpoint; it reports whether the request may proceed.
 func (s *Server) checkBatch(w http.ResponseWriter, r *http.Request, n int, what string) bool {
@@ -380,11 +406,8 @@ func (s *Server) checkBatch(w http.ResponseWriter, r *http.Request, n int, what 
 
 func (s *Server) handleBatchLookup(w http.ResponseWriter, r *http.Request) {
 	var req batchLookupRequest
-	if r.Method == http.MethodPost {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding batch lookup: %w", err))
-			return
-		}
+	if !s.decodeBatch(w, r, &req, "lookup") {
+		return
 	}
 	if !s.checkBatch(w, r, len(req.Keys), "key") {
 		return
@@ -402,11 +425,8 @@ func (s *Server) handleBatchLookup(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatchClaims(w http.ResponseWriter, r *http.Request) {
 	var req batchClaimRequest
-	if r.Method == http.MethodPost {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding batch claim: %w", err))
-			return
-		}
+	if !s.decodeBatch(w, r, &req, "claim") {
+		return
 	}
 	if !s.checkBatch(w, r, len(req.Keys), "key") {
 		return
@@ -423,11 +443,8 @@ func (s *Server) handleBatchClaims(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatchRecords(w http.ResponseWriter, r *http.Request) {
 	var req batchRecordsRequest
-	if r.Method == http.MethodPost {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding batch records: %w", err))
-			return
-		}
+	if !s.decodeBatch(w, r, &req, "records") {
+		return
 	}
 	if !s.checkBatch(w, r, len(req.Records), "record") {
 		return

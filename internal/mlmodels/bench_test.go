@@ -65,3 +65,25 @@ func BenchmarkForestFit(b *testing.B) {
 func BenchmarkGBMFit(b *testing.B) {
 	benchFit(b, benchData(b, false), func() core.Estimator { return NewGradientBoosting(100) })
 }
+
+// BenchmarkKNNPredict times one cross-validation fold of the regression
+// workload's KNN: fit on 240 rows, predict the other 60, k = 5.
+func BenchmarkKNNPredict(b *testing.B) {
+	ds := benchData(b, false)
+	idx := make([]int, ds.NumSamples())
+	for i := range idx {
+		idx[i] = i
+	}
+	train, test := ds.Subset(idx[:240]), ds.Subset(idx[240:])
+	m := NewKNN(KNNRegression, 5)
+	if err := m.Fit(train); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Predict(test); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

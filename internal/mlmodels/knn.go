@@ -2,10 +2,11 @@ package mlmodels
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"coda/internal/core"
 	"coda/internal/dataset"
+	"coda/internal/matrix"
 )
 
 // KNNTask selects regression (neighbour mean) or classification (majority
@@ -18,12 +19,16 @@ const (
 	KNNClassification
 )
 
-// KNN is a k-nearest-neighbours model with Euclidean distance.
+// KNN is a k-nearest-neighbours model with Euclidean distance. Predict
+// selects each row's K nearest training rows with a bounded top-k
+// (matrix.TopK) instead of sorting every distance; among equal distances
+// the lower training index wins.
 type KNN struct {
 	Task KNNTask
 	K    int // neighbours (default 5)
 
-	trainX [][]float64
+	nFeat  int
+	trainX []float64 // row-major, len(trainY) x nFeat
 	trainY []float64
 }
 
@@ -59,48 +64,47 @@ func (m *KNN) Fit(ds *dataset.Dataset) error {
 	if m.K < 1 {
 		m.K = 5
 	}
-	m.trainX = make([][]float64, ds.NumSamples())
-	for i := range m.trainX {
-		m.trainX[i] = ds.X.RowCopy(i)
-	}
-	m.trainY = append([]float64(nil), ds.Y...)
+	m.nFeat = ds.NumFeatures()
+	m.trainX = slices.Clone(ds.X.Data())
+	m.trainY = slices.Clone(ds.Y)
 	return nil
 }
 
-// Predict aggregates the K nearest training samples per row.
+// Predict aggregates the K nearest training samples per row: the mean of
+// their targets summed nearest first, or the majority vote (ties to the
+// smaller label).
 func (m *KNN) Predict(ds *dataset.Dataset) ([]float64, error) {
-	if m.trainX == nil {
+	if m.trainY == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotFitted, m.Name())
 	}
-	if ds.NumFeatures() != len(m.trainX[0]) {
-		return nil, fmt.Errorf("mlmodels: %s fitted with %d features, got %d", m.Name(), len(m.trainX[0]), ds.NumFeatures())
+	if ds.NumFeatures() != m.nFeat {
+		return nil, fmt.Errorf("mlmodels: %s fitted with %d features, got %d", m.Name(), m.nFeat, ds.NumFeatures())
 	}
-	k := m.K
-	if k > len(m.trainX) {
-		k = len(m.trainX)
-	}
+	d := m.nFeat
+	k := min(m.K, len(m.trainY))
 	out := make([]float64, ds.NumSamples())
-	type nb struct {
-		dist float64
-		y    float64
+	var top matrix.TopK
+	var votes map[float64]int
+	if m.Task == KNNClassification {
+		votes = map[float64]int{}
 	}
-	nbs := make([]nb, len(m.trainX))
-	for i := 0; i < ds.NumSamples(); i++ {
+	for i := range out {
 		row := ds.X.Row(i)
-		for t, tr := range m.trainX {
-			d := 0.0
+		top.Reset(k)
+		for t := range m.trainY {
+			tr := m.trainX[t*d : t*d+d]
+			dist := 0.0
 			for j, v := range row {
 				diff := v - tr[j]
-				d += diff * diff
+				dist += diff * diff
 			}
-			nbs[t] = nb{d, m.trainY[t]}
+			top.Push(dist, t)
 		}
-		sort.Slice(nbs, func(a, b int) bool { return nbs[a].dist < nbs[b].dist })
 		switch m.Task {
 		case KNNClassification:
-			votes := map[float64]int{}
-			for _, n := range nbs[:k] {
-				votes[n.y]++
+			clear(votes)
+			for _, t := range top.Indices() {
+				votes[m.trainY[t]]++
 			}
 			best, bestN := 0.0, -1
 			for v, c := range votes {
@@ -111,8 +115,8 @@ func (m *KNN) Predict(ds *dataset.Dataset) ([]float64, error) {
 			out[i] = best
 		default:
 			s := 0.0
-			for _, n := range nbs[:k] {
-				s += n.y
+			for _, t := range top.Indices() {
+				s += m.trainY[t]
 			}
 			out[i] = s / float64(k)
 		}

@@ -44,9 +44,12 @@ func appendRecord(buf []byte, op byte, key string, val []byte) []byte {
 	return buf
 }
 
-// readRecord decodes one record. io.EOF means a clean end, errTornRec a
-// partial or corrupt tail.
-func readRecord(r *bufio.Reader) (op byte, key string, val []byte, n int64, err error) {
+// readRecord decodes one record from r, which holds remain more bytes.
+// io.EOF means a clean end, errTornRec a partial or corrupt tail. A length
+// field claiming more bytes than remain is torn and rejected before the
+// payload is allocated, so a corrupt header cannot force a large
+// allocation.
+func readRecord(r *bufio.Reader, remain int64) (op byte, key string, val []byte, n int64, err error) {
 	var hdr [walHeader]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err == io.EOF {
 		return 0, "", nil, 0, io.EOF
@@ -58,7 +61,7 @@ func readRecord(r *bufio.Reader) (op byte, key string, val []byte, n int64, err 
 	}
 	length := binary.LittleEndian.Uint32(hdr[:4])
 	sum := binary.LittleEndian.Uint32(hdr[4:])
-	if length < 3 || length > 1<<31 {
+	if length < 3 || length > 1<<31 || int64(length) > remain-walHeader {
 		return 0, "", nil, 0, errTornRec
 	}
 	payload := make([]byte, length)
@@ -78,18 +81,32 @@ func readRecord(r *bufio.Reader) (op byte, key string, val []byte, n int64, err 
 	return op, key, val, walHeader + int64(length), nil
 }
 
+// openRecords opens a log file for readRecord and returns its size, the
+// bound on the first record.
+func openRecords(path string) (*os.File, *bufio.Reader, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("persist: opening %s: %w", path, err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, nil, 0, fmt.Errorf("persist: stat %s: %w", path, err)
+	}
+	return f, bufio.NewReader(f), fi.Size(), nil
+}
+
 // validWALPrefix returns how many bytes of the file hold intact records —
 // the truncation point for a torn tail after a crash mid-write.
 func validWALPrefix(path string) (int64, error) {
-	f, err := os.Open(path)
+	f, r, size, err := openRecords(path)
 	if err != nil {
-		return 0, fmt.Errorf("persist: opening wal: %w", err)
+		return 0, err
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
 	var off int64
 	for {
-		_, _, _, n, err := readRecord(r)
+		_, _, _, n, err := readRecord(r, size-off)
 		if err != nil {
 			return off, nil // io.EOF or errTornRec: valid data ends here
 		}
@@ -102,14 +119,13 @@ func validWALPrefix(path string) (int64, error) {
 // mid-write on the newest file (stop cleanly), or real corruption on an
 // older one (error).
 func replayFile(path string, tolerateTail bool, fn func(op byte, key string, val []byte) error) (records int64, err error) {
-	f, err := os.Open(path)
+	f, r, remain, err := openRecords(path)
 	if err != nil {
-		return 0, fmt.Errorf("persist: opening %s: %w", path, err)
+		return 0, err
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
 	for {
-		op, key, val, _, err := readRecord(r)
+		op, key, val, n, err := readRecord(r, remain)
 		if err == io.EOF {
 			return records, nil
 		}
@@ -120,6 +136,7 @@ func replayFile(path string, tolerateTail bool, fn func(op byte, key string, val
 			return records, fmt.Errorf("persist: %s corrupt: %w", path, err)
 		}
 		records++
+		remain -= n
 		if err := fn(op, key, val); err != nil {
 			return records, err
 		}

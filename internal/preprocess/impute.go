@@ -7,6 +7,7 @@ import (
 
 	"coda/internal/core"
 	"coda/internal/dataset"
+	"coda/internal/matrix"
 )
 
 // ImputeStrategy selects how an Imputer fills missing (NaN) values.
@@ -40,14 +41,13 @@ func (s ImputeStrategy) String() string {
 // Imputer fills NaN entries column-wise using the configured strategy.
 // For ImputeKNN, each missing entry is filled with the average of that
 // column over the K nearest training rows by distance on shared non-missing
-// columns.
+// columns; ties rank by training row, as in mlmodels.KNN (matrix.TopK).
 type Imputer struct {
 	Strategy ImputeStrategy
 	K        int // neighbours for ImputeKNN (default 5)
 
-	fill     []float64 // per-column fill value for mean/median/mode
-	trainX   [][]float64
-	trainOK  [][]bool
+	fill     []float64      // per-column fill value for mean/median/mode
+	trainX   *matrix.Matrix // KNN training rows, NaN where missing
 	nFeature int
 }
 
@@ -112,18 +112,7 @@ func (im *Imputer) Fit(ds *dataset.Dataset) error {
 		if im.K < 1 {
 			return fmt.Errorf("preprocess: KNN imputer needs K >= 1, got %d", im.K)
 		}
-		rows := ds.X.Rows()
-		im.trainX = make([][]float64, rows)
-		im.trainOK = make([][]bool, rows)
-		for i := 0; i < rows; i++ {
-			r := ds.X.RowCopy(i)
-			ok := make([]bool, cols)
-			for j, v := range r {
-				ok[j] = !math.IsNaN(v)
-			}
-			im.trainX[i] = r
-			im.trainOK[i] = ok
-		}
+		im.trainX = ds.X.Clone()
 	default:
 		return fmt.Errorf("preprocess: unknown impute strategy %v", im.Strategy)
 	}
@@ -139,6 +128,7 @@ func (im *Imputer) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
 		return nil, fmt.Errorf("preprocess: imputer fitted on %d cols, got %d", im.nFeature, ds.X.Cols())
 	}
 	x := ds.X.Clone()
+	var top matrix.TopK
 	for i := 0; i < x.Rows(); i++ {
 		row := x.Row(i)
 		for j, v := range row {
@@ -147,7 +137,7 @@ func (im *Imputer) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
 			}
 			switch im.Strategy {
 			case ImputeKNN:
-				row[j] = im.knnFill(row, j)
+				row[j] = im.knnFill(row, j, &top)
 			default:
 				row[j] = im.fill[j]
 			}
@@ -161,21 +151,19 @@ func (im *Imputer) Transform(ds *dataset.Dataset) (*dataset.Dataset, error) {
 	return out, nil
 }
 
-// knnFill averages column j over the K nearest training rows, measured by
-// Euclidean distance on columns observed in both rows.
-func (im *Imputer) knnFill(row []float64, j int) float64 {
-	type cand struct {
-		dist float64
-		val  float64
-	}
-	var cands []cand
-	for r, tr := range im.trainX {
-		if !im.trainOK[r][j] {
+// knnFill averages column j over the K nearest training rows observed in
+// column j, measured by Euclidean distance on the other columns observed in
+// both rows; rows sharing no such column rank last, by index.
+func (im *Imputer) knnFill(row []float64, j int, top *matrix.TopK) float64 {
+	top.Reset(im.K)
+	for r := 0; r < im.trainX.Rows(); r++ {
+		tr := im.trainX.Row(r)
+		if math.IsNaN(tr[j]) {
 			continue
 		}
 		d, shared := 0.0, 0
 		for c, v := range row {
-			if c == j || math.IsNaN(v) || !im.trainOK[r][c] {
+			if c == j || math.IsNaN(v) || math.IsNaN(tr[c]) {
 				continue
 			}
 			diff := v - tr[c]
@@ -185,21 +173,17 @@ func (im *Imputer) knnFill(row []float64, j int) float64 {
 		if shared == 0 {
 			d = math.MaxFloat64 / 2
 		}
-		cands = append(cands, cand{d, tr[j]})
+		top.Push(d, r)
 	}
-	if len(cands) == 0 {
+	nbrs := top.Indices()
+	if len(nbrs) == 0 {
 		return 0
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].dist < cands[b].dist })
-	k := im.K
-	if k > len(cands) {
-		k = len(cands)
-	}
 	s := 0.0
-	for _, c := range cands[:k] {
-		s += c.val
+	for _, r := range nbrs {
+		s += im.trainX.At(r, j)
 	}
-	return s / float64(k)
+	return s / float64(len(nbrs))
 }
 
 // mode returns the most frequent value (ties broken by smallest value).
